@@ -19,6 +19,7 @@ import (
 
 	"ecstore"
 	"ecstore/internal/blockstore"
+	"ecstore/internal/bufpool"
 	"ecstore/internal/cluster"
 	"ecstore/internal/core"
 	"ecstore/internal/erasure"
@@ -27,6 +28,7 @@ import (
 	"ecstore/internal/obs"
 	"ecstore/internal/resilience"
 	"ecstore/internal/sim"
+	"ecstore/internal/storage"
 	"ecstore/internal/wire"
 
 	"ecstore/internal/proto"
@@ -508,6 +510,73 @@ func BenchmarkBlockstoreFilePut(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if err := store.Put(blockstore.Key{Stripe: uint64(i % 128)}, blk); err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkNodeFile prices one storage-node op over a blockstore.File
+// at 4 KiB blocks. The ops cycle over four times more slots than the
+// write-back holds, so every op reads its block from the data file,
+// and swaps and adds pay their share of write-back flushes. Reply
+// blocks go back to the buffer pool, as the RPC server does once a
+// reply is on the wire. Recorded in BENCH_robustness.json.
+func BenchmarkNodeFile(b *testing.B) {
+	const (
+		blockSize = 4 << 10
+		writeBack = 64
+		slots     = 4 * writeBack
+	)
+	ctx := context.Background()
+	for _, op := range []string{"read", "swap", "add"} {
+		b.Run(op, func(b *testing.B) {
+			store, _, err := blockstore.OpenFile(blockstore.FileOptions{
+				Dir: b.TempDir(), BlockSize: blockSize, WriteBackLimit: writeBack,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer store.Close()
+			node := storage.MustNew(storage.Options{ID: "bench", BlockSize: blockSize, Store: store})
+			v := make([]byte, blockSize)
+			rand.New(rand.NewSource(13)).Read(v)
+			seq := uint64(0)
+			ntid := func() proto.TID {
+				seq++
+				return proto.TID{Seq: seq, Client: 1}
+			}
+			for s := 0; s < slots; s++ {
+				if _, err := node.Swap(ctx, &proto.SwapReq{Stripe: uint64(s), Value: v, NTID: ntid()}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := store.Flush(); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(blockSize)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				stripe := uint64(i % slots)
+				switch op {
+				case "read":
+					rep, err := node.Read(ctx, &proto.ReadReq{Stripe: stripe})
+					if err != nil || !rep.OK {
+						b.Fatalf("read: %v", err)
+					}
+					bufpool.Put(rep.Block)
+				case "swap":
+					rep, err := node.Swap(ctx, &proto.SwapReq{Stripe: stripe, Value: v, NTID: ntid()})
+					if err != nil || !rep.OK {
+						b.Fatalf("swap: %v", err)
+					}
+					bufpool.Put(rep.Block)
+				case "add":
+					rep, err := node.Add(ctx, &proto.AddReq{Stripe: stripe, Delta: v, Premultiplied: true, NTID: ntid()})
+					if err != nil || rep.Status != proto.StatusOK {
+						b.Fatalf("add: %v", err)
+					}
 				}
 			}
 		})

@@ -1,7 +1,9 @@
 // Command storaged runs one AJX storage node: a thin server exposing
 // the protocol's operations (swap, add, read, locks, recovery,
-// garbage collection) over TCP. Storage is in-memory, matching the
-// paper's evaluation setup.
+// garbage collection) over TCP. Blocks live in memory, matching the
+// paper's evaluation setup, or with -data-dir only on disk: the node
+// then keeps just its per-slot protocol state (and the write-back's
+// dirty blocks) in RAM.
 //
 // Usage:
 //

@@ -386,7 +386,6 @@ func (c *cluster) replaceLocal(phys int) proto.StorageNode {
 		Code:        c.code,
 		Replacement: true,
 		LockLease:   c.opts.LockLease,
-		GarbageSeed: int64(phys)<<16 | int64(c.gen),
 	})
 	c.local[phys] = node
 	return node

@@ -7,7 +7,7 @@
 // Two implementations are provided:
 //
 //   - Mem: blocks live in memory only (the paper's evaluation setup,
-//     and the default for storage.Node).
+//     and what storage.New uses when no store is configured).
 //   - File: blocks persist in a data file with an append-only index,
 //     fronted by a write-back cache that coalesces repeated updates to
 //     hot blocks (the Section 3.11 optimization) and flushes on demand.
@@ -41,12 +41,14 @@ type Key struct {
 	Slot   int32
 }
 
-// Store is the block persistence interface used by storage nodes.
-// Implementations must be safe for concurrent use.
+// Store is the block persistence interface used by storage nodes; a
+// node's Store holds the only copy of its block bytes. Implementations
+// must be safe for concurrent use.
 type Store interface {
-	// Get returns the block for key, or ok=false if never written.
-	// The returned slice must not be retained by the caller across
-	// calls; copy if needed.
+	// Get returns the block for key, or ok=false if never written or
+	// unreadable. The caller owns the returned buffer: it aliases
+	// nothing in the store, and it may come from internal/bufpool, so
+	// the caller may hand it back with bufpool.Put once done with it.
 	Get(key Key) (block []byte, ok bool)
 	// Put stores a copy of block under key.
 	Put(key Key, block []byte) error
@@ -74,20 +76,29 @@ func NewMem() *Mem {
 
 var _ Store = (*Mem)(nil)
 
-// Get implements Store.
+// Get implements Store: a pooled copy, so the caller owns it.
 func (m *Mem) Get(key Key) ([]byte, bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	b, ok := m.blocks[key]
-	return b, ok
+	if !ok {
+		return nil, false
+	}
+	cp := bufpool.Get(len(b))
+	copy(cp, b)
+	return cp, true
 }
 
-// Put implements Store.
+// Put implements Store. Rewriting a key overwrites its buffer in
+// place: Get hands out copies, so nothing else references it.
 func (m *Mem) Put(key Key, block []byte) error {
-	cp := append([]byte(nil), block...)
 	m.mu.Lock()
-	m.blocks[key] = cp
-	m.mu.Unlock()
+	defer m.mu.Unlock()
+	if old, ok := m.blocks[key]; ok && len(old) == len(block) {
+		copy(old, block)
+		return nil
+	}
+	m.blocks[key] = append([]byte(nil), block...)
 	return nil
 }
 
@@ -281,9 +292,8 @@ func (f *File) Get(key Key) ([]byte, bool) {
 	f.gets++
 	if b, ok := f.dirty[key]; ok {
 		// Serve a copy: dirty buffers are pooled, and flushLocked may
-		// recycle b the moment f.mu is released — the caller's view
-		// must outlive that. Get is the node's cold path (first access
-		// per slot), so the copy is off the steady-state write path.
+		// recycle b the moment f.mu is released — the caller owns
+		// what Get returns, so it must outlive that.
 		cp := bufpool.Get(f.blockSize)
 		copy(cp, b)
 		return cp, true

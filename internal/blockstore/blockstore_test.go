@@ -67,6 +67,23 @@ func TestMemPutCopies(t *testing.T) {
 	}
 }
 
+// TestMemGetHandsOverACopy pins Store.Get's ownership rule for Mem:
+// the caller may scribble on (or recycle) what Get returned without
+// touching the stored block, and a later Put does not reach it.
+func TestMemGetHandsOverACopy(t *testing.T) {
+	m := NewMem()
+	_ = m.Put(Key{}, blockOf(1))
+	got, _ := m.Get(Key{})
+	got[0] = 0xFF
+	if again, _ := m.Get(Key{}); again[0] != 1 {
+		t.Fatal("Get aliased the stored block")
+	}
+	_ = m.Put(Key{}, blockOf(2))
+	if got[1] != 1 {
+		t.Fatal("Put rewrote a buffer Get had handed out")
+	}
+}
+
 func TestFileOptionsValidation(t *testing.T) {
 	if _, _, err := OpenFile(FileOptions{Dir: t.TempDir(), BlockSize: 0}); err == nil {
 		t.Error("zero block size accepted")

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"ecstore/internal/blockstore"
 	"ecstore/internal/core"
 	"ecstore/internal/directory"
 	"ecstore/internal/erasure"
@@ -56,6 +57,11 @@ type Options struct {
 	ClientTweak func(*core.Config)
 	// Obs optionally collects every client's metrics in one registry.
 	Obs *obs.Registry
+	// NodeStore optionally supplies each initial storage node's block
+	// store (a blockstore.File, say). Nil, or a nil result, keeps that
+	// node's blocks in a blockstore.Mem; replacements always start on
+	// a fresh Mem.
+	NodeStore func(phys int) blockstore.Store
 }
 
 // Cluster is an assembled in-process deployment.
@@ -99,11 +105,16 @@ func New(opts Options) (*Cluster, error) {
 
 	handles := make([]proto.StorageNode, opts.N)
 	for i := 0; i < opts.N; i++ {
+		var store blockstore.Store
+		if opts.NodeStore != nil {
+			store = opts.NodeStore(i)
+		}
 		node, err := storage.New(storage.Options{
 			ID:        fmt.Sprintf("s%d", i),
 			BlockSize: opts.BlockSize,
 			Code:      code,
 			LockLease: opts.LockLease,
+			Store:     store,
 		})
 		if err != nil {
 			return nil, err
@@ -177,7 +188,6 @@ func (c *Cluster) replace(phys int) proto.StorageNode {
 		Code:        c.Code,
 		Replacement: true,
 		LockLease:   c.opts.LockLease,
-		GarbageSeed: int64(phys)<<8 | int64(c.gen[phys]),
 	})
 	c.nodes[phys] = node
 	return c.wrap(phys, node)

@@ -2,11 +2,14 @@ package core_test
 
 import (
 	"encoding/binary"
+	"fmt"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"ecstore/internal/blockstore"
 	"ecstore/internal/cluster"
 	"ecstore/internal/proto"
 	"ecstore/internal/regcheck"
@@ -58,12 +61,45 @@ func TestChaosSoakRegularRegister(t *testing.T) {
 	for _, seed := range []int64{1, 2} {
 		seed := seed
 		t.Run("seed", func(t *testing.T) {
-			chaosSoak(t, seed)
+			chaosSoak(t, seed, nil)
 		})
 	}
 }
 
-func chaosSoak(t *testing.T, seed int64) {
+// TestChaosSoakFileBackedNodes runs one seed of the chaos soak over
+// storage nodes whose blocks live in blockstore.File stores, with a
+// write-back small enough that reads, swaps and adds hit both the
+// dirty cache and the data file under crash, gray and partition
+// faults.
+func TestChaosSoakFileBackedNodes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chaos soak skipped in -short mode")
+	}
+	dir := t.TempDir()
+	var stores []*blockstore.File
+	chaosSoak(t, 3, func(phys int) blockstore.Store {
+		store, _, err := blockstore.OpenFile(blockstore.FileOptions{
+			Dir:            filepath.Join(dir, fmt.Sprintf("node-%d", phys)),
+			BlockSize:      blockSize,
+			WriteBackLimit: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = store.Close() })
+		stores = append(stores, store)
+		return store
+	})
+	for phys, store := range stores {
+		if _, diskWrites := store.Stats(); diskWrites == 0 {
+			t.Errorf("node %d: no block reached its data file", phys)
+		}
+	}
+}
+
+// chaosSoak runs the soak with one seed; nodeStore, if non-nil,
+// supplies each storage node's block store.
+func chaosSoak(t *testing.T, seed int64, nodeStore func(phys int) blockstore.Store) {
 	const (
 		n             = 5
 		soak          = 400 * time.Millisecond
@@ -75,6 +111,7 @@ func chaosSoak(t *testing.T, seed int64) {
 	)
 	c := testCluster(t, cluster.Options{
 		K: 2, N: n, Clients: 4, NoReplacements: true,
+		NodeStore: nodeStore,
 		WrapNode: func(phys int, node proto.StorageNode) proto.StorageNode {
 			w := transport.NewFaulty(node, transport.FaultConfig{
 				Seed:      seed*100 + int64(phys),

@@ -129,6 +129,9 @@ func (c *Client) writeOnce(ctx context.Context, stripeID uint64, i int, v []byte
 	diff := bufpool.Get(c.cfg.BlockSize)
 	defer bufpool.Put(diff)
 	erasure.RawDeltaInto(diff, v, oldBlk)
+	// The swap reply's block was handed over (proto.StorageNode) and
+	// diff holds all this write needs of it.
+	bufpool.Put(oldBlk)
 
 	k, n := c.cfg.Code.K(), c.cfg.Code.N()
 	want := newSlotSet(i)

@@ -208,6 +208,10 @@ func (c *Client) writeStripesOnce(ctx context.Context, writes []StripeWrite, pen
 			raw := bufpool.Get(c.cfg.BlockSize)
 			erasure.RawDeltaInto(raw, j.values[i], j.outs[i].old)
 			j.raws[i] = raw
+			// The swap reply's block was handed over
+			// (proto.StorageNode); raw holds all we need of it.
+			bufpool.Put(j.outs[i].old)
+			j.outs[i].old = nil
 		}
 		j.deltas = make([][]byte, 0, n-k)
 		for slot := k; slot < n; slot++ {

@@ -253,7 +253,6 @@ func (sc *ShapedCluster) replacementNode(phys int) *storage.Node {
 		BlockSize:   sc.BlockSize,
 		Code:        sc.Code,
 		Replacement: true,
-		GarbageSeed: int64(phys)<<8 | int64(sc.gen[phys]),
 	})
 	return sc.nodes[phys]
 }

@@ -552,6 +552,12 @@ type ProbeReply struct {
 // StorageNode is the complete thin-server operation set. Every method
 // returns a transport/availability error (notably ErrNodeDown) or a
 // reply; protocol-level rejections travel inside replies.
+//
+// Block payloads cross the interface by hand-over: a request's payload
+// stays the caller's (the node folds or copies it during the call and
+// keeps no reference), and a reply's payload becomes the caller's (the
+// node keeps no reference and shares it with no other reply), so the
+// caller may recycle it into internal/bufpool.
 type StorageNode interface {
 	Read(ctx context.Context, req *ReadReq) (*ReadReply, error)
 	Swap(ctx context.Context, req *SwapReq) (*SwapReply, error)

@@ -23,7 +23,9 @@
 // less than iovec bookkeeping for small messages. The payload buffers
 // are only borrowed for the duration of the write — the writev
 // completes before the call's send phase returns, so caller ownership
-// (per proto.StorageNode's contract) is preserved.
+// (per proto.StorageNode's contract) is preserved. On the server side
+// the reply's payload belongs to the server (per the same contract),
+// which recycles it into internal/bufpool once the reply is written.
 //
 // Clients translate a context deadline into the frame's budget, and
 // the server re-arms it as a context deadline around the handler —
@@ -210,10 +212,10 @@ func tuneConn(conn net.Conn, noDelay bool, readBuf, writeBuf int) {
 }
 
 // replyWriter serializes reply frames onto one server connection.
-// Large reply payloads (read blocks, swap old-values — always owned
-// copies, see storage's cloneBytes) go out with a vectored write; the
-// Frame and meta scratch live here so the steady state is
-// allocation-free.
+// Large reply payloads (read blocks, swap old-values — buffers the node
+// handed over, recycled by serveConn after the write) go out with a
+// vectored write; the Frame and meta scratch live here so the steady
+// state is allocation-free.
 type replyWriter struct {
 	mu    sync.Mutex
 	conn  net.Conn
@@ -362,11 +364,12 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			// The handler has returned and the reply is on the wire;
 			// node handlers fold or copy request payloads during the
-			// call (package storage), so the request's pooled block
-			// buffer is dead here.
+			// call and hand over the reply payloads they return
+			// (package storage), so both block buffers are dead here.
 			if msg != nil {
 				wire.Recycle(msg)
 			}
+			wire.Recycle(reply)
 			s.metrics.noteOut(n)
 			sp.End()
 		}()

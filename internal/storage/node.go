@@ -4,6 +4,15 @@
 // mode, lock mode, epoch, recentlist/oldlist of write identifiers, and
 // the saved reconstruction set.
 //
+// The protocol state lives in memory; the block bytes live only in the
+// node's blockstore.Store, so a node's RAM scales with its slot
+// metadata, not with the bytes it stores. Every handler that needs a
+// block fetches it from the store (the store hands over a buffer the
+// node owns), and every handler that changes one puts it back. A
+// block fetched for a reply is handed out as the reply payload, not
+// copied: the caller owns it (the RPC server recycles it once the
+// reply is on the wire).
+//
 // The node is deliberately dumb: every operation is a short,
 // independent critical section with no cross-slot coordination, no log
 // of old data versions, and no knowledge of other nodes. All
@@ -13,12 +22,12 @@ package storage
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"ecstore/internal/blockstore"
+	"ecstore/internal/bufpool"
 	"ecstore/internal/erasure"
 	"ecstore/internal/gf"
 	"ecstore/internal/proto"
@@ -35,7 +44,8 @@ type Options struct {
 	// serving only premultiplied adds don't need it.
 	Code *erasure.Code
 	// Replacement marks a node that replaces a crashed one: every slot
-	// starts in INIT mode with garbage content (paper Section 3.5).
+	// starts in INIT mode (paper Section 3.5). An INIT slot's content is
+	// garbage that no operation ever serves, so none is materialized.
 	Replacement bool
 	// LockLease, when non-zero, expires locks whose holder has not
 	// completed recovery within the lease. Deployments without an
@@ -45,11 +55,10 @@ type Options struct {
 	LockLease time.Duration
 	// Now injects a clock for tests. Defaults to time.Now.
 	Now func() time.Time
-	// GarbageSeed seeds the random content of INIT slots so tests can
-	// reproduce the paper's "random blocks after fail-remap".
-	GarbageSeed int64
-	// Store optionally persists block contents (internal/blockstore).
-	// Nil keeps blocks in memory only — the paper's evaluation setup.
+	// Store holds the node's block bytes — the only copy the node keeps
+	// (internal/blockstore). Nil uses a fresh blockstore.NewMem(), the
+	// paper's in-memory evaluation setup; a blockstore.File persists
+	// them.
 	Store blockstore.Store
 	// TrustPersisted lets a node restarted on top of a Store serve its
 	// persisted blocks as valid (NORM). Leave false unless the
@@ -59,8 +68,9 @@ type Options struct {
 	TrustPersisted bool
 }
 
-// Node is an in-memory storage node. It is safe for concurrent use.
-// The zero value is not usable; construct with New.
+// Node is a storage node: per-slot protocol state in memory, block
+// bytes in its Store. It is safe for concurrent use. The zero value is
+// not usable; construct with New.
 type Node struct {
 	opts Options
 	now  func() time.Time
@@ -68,9 +78,8 @@ type Node struct {
 	crashed atomic.Bool
 
 	mu    sync.Mutex
-	slots map[slotKey]*slotState
+	slots map[blockstore.Key]*slotState
 	clock uint64 // logical timestamp, strictly monotonic per node
-	rng   *rand.Rand
 
 	// stats are monotonic operation counters, readable via Stats.
 	stats Stats
@@ -85,41 +94,42 @@ type Stats struct {
 	PartialSums                                        uint64
 }
 
-type slotKey struct {
-	stripe uint64
-	slot   int32
-}
-
 type slotState struct {
-	block      []byte
+	// written records that the store holds bytes for this slot. A slot
+	// never written reads as zeros without touching the store; a
+	// written slot whose bytes the store cannot return fails the op
+	// instead of silently serving or folding into zeros.
+	written    bool
 	opmode     proto.OpMode
 	lmode      proto.LockMode
 	epoch      uint64
 	recent     []proto.TIDTime
 	old        []proto.TIDTime
-	recentSet  map[proto.TID]struct{} // membership index over recent
-	oldSet     map[proto.TID]struct{} // membership index over old
+	tids       map[proto.TID]bool // recent (true) and old (false) tids; nil until the first write
 	lid        proto.ClientID
 	lockExpiry time.Time
 	reconsSet  []int32
 }
 
-func (st *slotState) inRecent(t proto.TID) bool {
-	_, ok := st.recentSet[t]
-	return ok
-}
+func (st *slotState) inRecent(t proto.TID) bool { return st.tids[t] }
 
-func (st *slotState) inOld(t proto.TID) bool {
-	_, ok := st.oldSet[t]
+// known reports whether t is in the recent or the old list.
+func (st *slotState) known(t proto.TID) bool {
+	_, ok := st.tids[t]
 	return ok
 }
 
 func (st *slotState) appendRecent(e proto.TIDTime) {
 	st.recent = append(st.recent, e)
-	st.recentSet[e.TID] = struct{}{}
+	if st.tids == nil {
+		st.tids = make(map[proto.TID]bool)
+	}
+	st.tids[e.TID] = true
 }
 
-// New constructs a storage node.
+// New constructs a storage node. Blocks already in opts.Store are
+// adopted: their slots start NORM under TrustPersisted and INIT
+// otherwise.
 func New(opts Options) (*Node, error) {
 	if opts.BlockSize <= 0 {
 		return nil, fmt.Errorf("storage: BlockSize must be positive, got %d", opts.BlockSize)
@@ -127,12 +137,26 @@ func New(opts Options) (*Node, error) {
 	if opts.Now == nil {
 		opts.Now = time.Now
 	}
-	return &Node{
+	if opts.Store == nil {
+		opts.Store = blockstore.NewMem()
+	}
+	n := &Node{
 		opts:  opts,
 		now:   opts.Now,
-		slots: make(map[slotKey]*slotState),
-		rng:   rand.New(rand.NewSource(opts.GarbageSeed)),
-	}, nil
+		slots: make(map[blockstore.Key]*slotState),
+	}
+	for _, key := range opts.Store.Keys() {
+		st := n.newSlot()
+		st.written = true
+		if !opts.TrustPersisted {
+			// Persisted bytes survive, but the node cannot prove it
+			// missed no writes while down: treat the slot as
+			// uninitialized and let recovery decide.
+			st.opmode = proto.Init
+		}
+		n.slots[key] = st
+	}
+	return n, nil
 }
 
 // MustNew is New for static configurations; it panics on error.
@@ -148,13 +172,13 @@ func MustNew(opts Options) *Node {
 func (n *Node) ID() string { return n.opts.ID }
 
 // Crash fail-stops the node: every subsequent operation returns
-// ErrNodeDown and all state is discarded (the paper assumes a crashed
-// node may never recover; a replacement node is remapped in its
-// place).
+// ErrNodeDown and all protocol state is discarded (the paper assumes a
+// crashed node may never recover; a replacement node is remapped in
+// its place). The store is left as it is, like a disk after a crash.
 func (n *Node) Crash() {
 	n.crashed.Store(true)
 	n.mu.Lock()
-	n.slots = make(map[slotKey]*slotState)
+	n.slots = make(map[blockstore.Key]*slotState)
 	n.mu.Unlock()
 }
 
@@ -174,40 +198,61 @@ func (n *Node) FailClient(id proto.ClientID) {
 	}
 }
 
+func (n *Node) newSlot() *slotState {
+	return &slotState{opmode: proto.Norm, lmode: proto.Unlocked}
+}
+
 // getSlot returns the slot state, creating it lazily in the node's
 // initial mode. Callers must hold n.mu.
-func (n *Node) getSlot(stripe uint64, slot int32) *slotState {
-	key := slotKey{stripe: stripe, slot: slot}
+func (n *Node) getSlot(key blockstore.Key) *slotState {
 	st, ok := n.slots[key]
 	if !ok {
-		st = &slotState{
-			block:     make([]byte, n.opts.BlockSize),
-			opmode:    proto.Norm,
-			lmode:     proto.Unlocked,
-			recentSet: make(map[proto.TID]struct{}),
-			oldSet:    make(map[proto.TID]struct{}),
-		}
-		if n.opts.Store != nil {
-			if blk, found := n.opts.Store.Get(blockstore.Key{Stripe: stripe, Slot: slot}); found {
-				copy(st.block, blk)
-				if !n.opts.TrustPersisted {
-					// Persisted bytes survive, but the node cannot
-					// prove it missed no writes while down: treat the
-					// slot as uninitialized and let recovery decide.
-					st.opmode = proto.Init
-				}
-			} else if n.opts.Replacement {
-				st.opmode = proto.Init
-				n.rng.Read(st.block)
-			}
-		} else if n.opts.Replacement {
+		st = n.newSlot()
+		if n.opts.Replacement {
 			st.opmode = proto.Init
-			n.rng.Read(st.block) // uninitialized garbage
 		}
 		n.slots[key] = st
 	}
 	n.maybeExpireLease(st)
 	return st
+}
+
+// block returns the slot's block in a buffer the caller owns: the
+// store's bytes, or zeros for a slot never written. Callers hold n.mu.
+func (n *Node) block(key blockstore.Key, st *slotState) ([]byte, error) {
+	if !st.written {
+		b := bufpool.Get(n.opts.BlockSize)
+		clear(b)
+		return b, nil
+	}
+	b, ok := n.opts.Store.Get(key)
+	if !ok || len(b) != n.opts.BlockSize {
+		return nil, fmt.Errorf("storage: node %s: block %d/%d missing from its store", n.opts.ID, key.Stripe, key.Slot)
+	}
+	return b, nil
+}
+
+// put stores a copy of the slot's new block. Callers hold n.mu.
+func (n *Node) put(key blockstore.Key, st *slotState, b []byte) error {
+	if err := n.opts.Store.Put(key, b); err != nil {
+		return fmt.Errorf("storage: persist block: %w", err)
+	}
+	st.written = true
+	return nil
+}
+
+// restore puts a slot's pre-op bytes back after a failed put. The
+// store may hold the new bytes anyway (a File keeps a block in its
+// write-back cache when the flush after it fails), and a retry of the
+// op must see the old ones: a retried swap would return the new value
+// as the old one, and a retried add would fold its delta twice. If the
+// store fails this put too, the slot's content is unknown, so the slot
+// goes INIT: no op serves it, and recovery rebuilds it. Callers hold
+// n.mu.
+func (n *Node) restore(key blockstore.Key, st *slotState, prior []byte) {
+	if n.opts.Store.Put(key, prior) != nil {
+		st.opmode = proto.Init
+	}
 }
 
 // maybeExpireLease applies lease-based lock expiry. Callers hold n.mu.
@@ -250,9 +295,14 @@ func (n *Node) Read(_ context.Context, req *proto.ReadReq) (*proto.ReadReply, er
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.stats.Reads++
-	st := n.getSlot(req.Stripe, req.Slot)
+	key := blockstore.Key{Stripe: req.Stripe, Slot: req.Slot}
+	st := n.getSlot(key)
 	if st.opmode != proto.Norm || st.lmode != proto.Unlocked {
 		return &proto.ReadReply{OK: false, LockMode: st.lmode}, nil
+	}
+	blk, err := n.block(key, st)
+	if err != nil {
+		return nil, err
 	}
 	var tid proto.TID
 	if len(st.recent) > 0 {
@@ -260,7 +310,7 @@ func (n *Node) Read(_ context.Context, req *proto.ReadReq) (*proto.ReadReply, er
 		// last one identifies the write that produced this content.
 		tid = st.recent[len(st.recent)-1].TID
 	}
-	return &proto.ReadReply{OK: true, Block: cloneBytes(st.block), LockMode: st.lmode, TID: tid}, nil
+	return &proto.ReadReply{OK: true, Block: blk, LockMode: st.lmode, TID: tid}, nil
 }
 
 // Swap implements the paper's swap operation (Fig. 5): atomically
@@ -276,14 +326,18 @@ func (n *Node) Swap(_ context.Context, req *proto.SwapReq) (*proto.SwapReply, er
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.stats.Swaps++
-	st := n.getSlot(req.Stripe, req.Slot)
+	key := blockstore.Key{Stripe: req.Stripe, Slot: req.Slot}
+	st := n.getSlot(key)
 	if st.opmode != proto.Norm || st.lmode != proto.Unlocked {
 		return &proto.SwapReply{OK: false, Epoch: st.epoch, LockMode: st.lmode}, nil
 	}
-	old := st.block
-	st.block = cloneBytes(req.Value)
-	if err := n.persist(req.Stripe, req.Slot, st.block); err != nil {
-		st.block = old
+	old, err := n.block(key, st)
+	if err != nil {
+		return nil, err
+	}
+	if err := n.put(key, st, req.Value); err != nil {
+		n.restore(key, st, old)
+		bufpool.Put(old)
 		return nil, err
 	}
 	var otid proto.TID
@@ -309,7 +363,8 @@ func (n *Node) Add(_ context.Context, req *proto.AddReq) (*proto.AddReply, error
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.stats.Adds++
-	st := n.getSlot(req.Stripe, req.Slot)
+	key := blockstore.Key{Stripe: req.Stripe, Slot: req.Slot}
+	st := n.getSlot(key)
 	if st.opmode != proto.Norm || (st.lmode != proto.Unlocked && st.lmode != proto.L0) || req.Epoch < st.epoch {
 		if req.Epoch < st.epoch {
 			n.stats.StaleEpochs++
@@ -317,24 +372,35 @@ func (n *Node) Add(_ context.Context, req *proto.AddReq) (*proto.AddReply, error
 		n.stats.RejectedAdds++
 		return &proto.AddReply{Status: proto.StatusUnavail, OpMode: st.opmode, LockMode: st.lmode}, nil
 	}
-	if st.inRecent(req.NTID) || st.inOld(req.NTID) {
+	if st.known(req.NTID) {
 		// Duplicate delivery of an already-applied add must not fold
 		// the delta twice (XOR would cancel it).
 		return &proto.AddReply{Status: proto.StatusOK, OpMode: st.opmode, LockMode: st.lmode}, nil
 	}
-	if !req.OTID.IsZero() && !st.inRecent(req.OTID) && !st.inOld(req.OTID) {
+	if !req.OTID.IsZero() && !st.known(req.OTID) {
 		n.stats.OrderRejects++
 		return &proto.AddReply{Status: proto.StatusOrder, OpMode: st.opmode, LockMode: st.lmode}, nil
 	}
-	if req.Premultiplied {
-		gf.AddSlice(st.block, req.Delta)
-	} else {
-		if n.opts.Code == nil {
-			return nil, fmt.Errorf("storage: node %s received broadcast add but has no code configured", n.opts.ID)
-		}
-		gf.MulAddSlice(n.opts.Code.Coef(int(req.Slot), int(req.DataSlot)), st.block, req.Delta)
+	if !req.Premultiplied && n.opts.Code == nil {
+		return nil, fmt.Errorf("storage: node %s received broadcast add but has no code configured", n.opts.ID)
 	}
-	if err := n.persist(req.Stripe, req.Slot, st.block); err != nil {
+	blk, err := n.block(key, st)
+	if err != nil {
+		return nil, err
+	}
+	fold := func() {
+		if req.Premultiplied {
+			gf.AddSlice(blk, req.Delta)
+		} else {
+			gf.MulAddSlice(n.opts.Code.Coef(int(req.Slot), int(req.DataSlot)), blk, req.Delta)
+		}
+	}
+	fold()
+	// Put copies blk, so it goes back to the pool either way.
+	defer bufpool.Put(blk)
+	if err := n.put(key, st, blk); err != nil {
+		fold() // XOR is its own inverse: blk holds the pre-op bytes again
+		n.restore(key, st, blk)
 		return nil, err
 	}
 	st.appendRecent(proto.TIDTime{TID: req.NTID, Time: n.tick()})
@@ -359,7 +425,8 @@ func (n *Node) BatchAdd(_ context.Context, req *proto.BatchAddReq) (*proto.Batch
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.stats.BatchAdds++
-	st := n.getSlot(req.Stripe, req.Slot)
+	key := blockstore.Key{Stripe: req.Stripe, Slot: req.Slot}
+	st := n.getSlot(key)
 	if st.opmode != proto.Norm || (st.lmode != proto.Unlocked && st.lmode != proto.L0) || req.Epoch < st.epoch {
 		if req.Epoch < st.epoch {
 			n.stats.StaleEpochs++
@@ -370,13 +437,13 @@ func (n *Node) BatchAdd(_ context.Context, req *proto.BatchAddReq) (*proto.Batch
 	// Duplicate delivery: batches apply atomically, so seeing any
 	// entry's tid means the whole batch was applied.
 	for _, e := range req.Entries {
-		if st.inRecent(e.NTID) || st.inOld(e.NTID) {
+		if st.known(e.NTID) {
 			return &proto.BatchAddReply{Status: proto.StatusOK, OpMode: st.opmode, LockMode: st.lmode}, nil
 		}
 	}
 	var blockers []int32
 	for _, e := range req.Entries {
-		if !e.OTID.IsZero() && !st.inRecent(e.OTID) && !st.inOld(e.OTID) {
+		if !e.OTID.IsZero() && !st.known(e.OTID) {
 			blockers = append(blockers, e.DataSlot)
 		}
 	}
@@ -384,9 +451,15 @@ func (n *Node) BatchAdd(_ context.Context, req *proto.BatchAddReq) (*proto.Batch
 		n.stats.OrderRejects++
 		return &proto.BatchAddReply{Status: proto.StatusOrder, OpMode: st.opmode, LockMode: st.lmode, Blockers: blockers}, nil
 	}
-	gf.AddSlice(st.block, req.Delta)
-	if err := n.persist(req.Stripe, req.Slot, st.block); err != nil {
-		gf.AddSlice(st.block, req.Delta) // roll back (XOR is its own inverse)
+	blk, err := n.block(key, st)
+	if err != nil {
+		return nil, err
+	}
+	gf.AddSlice(blk, req.Delta)
+	defer bufpool.Put(blk)
+	if err := n.put(key, st, blk); err != nil {
+		gf.AddSlice(blk, req.Delta) // XOR is its own inverse
+		n.restore(key, st, blk)
 		return nil, err
 	}
 	for _, e := range req.Entries {
@@ -423,7 +496,7 @@ func (n *Node) CheckTID(_ context.Context, req *proto.CheckTIDReq) (*proto.Check
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.stats.CheckTIDs++
-	st := n.getSlot(req.Stripe, req.Slot)
+	st := n.getSlot(blockstore.Key{Stripe: req.Stripe, Slot: req.Slot})
 	switch {
 	case !st.inRecent(req.NTID):
 		// Our own write's tid is gone: the node crashed and was
@@ -449,7 +522,7 @@ func (n *Node) TryLock(_ context.Context, req *proto.TryLockReq) (*proto.TryLock
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.stats.TryLocks++
-	st := n.getSlot(req.Stripe, req.Slot)
+	st := n.getSlot(blockstore.Key{Stripe: req.Stripe, Slot: req.Slot})
 	if st.lmode.Locked() {
 		return &proto.TryLockReply{OK: false, OldMode: st.lmode}, nil
 	}
@@ -468,7 +541,7 @@ func (n *Node) SetLock(_ context.Context, req *proto.SetLockReq) (*proto.SetLock
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.stats.SetLocks++
-	st := n.getSlot(req.Stripe, req.Slot)
+	st := n.getSlot(blockstore.Key{Stripe: req.Stripe, Slot: req.Slot})
 	st.lmode = req.Mode
 	st.lid = req.Caller
 	st.lockExpiry = n.now().Add(n.opts.LockLease)
@@ -485,7 +558,8 @@ func (n *Node) GetState(_ context.Context, req *proto.GetStateReq) (*proto.GetSt
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.stats.GetStates++
-	st := n.getSlot(req.Stripe, req.Slot)
+	key := blockstore.Key{Stripe: req.Stripe, Slot: req.Slot}
+	st := n.getSlot(key)
 	reply := &proto.GetStateReply{
 		OpMode:     st.opmode,
 		LockMode:   st.lmode,
@@ -497,7 +571,11 @@ func (n *Node) GetState(_ context.Context, req *proto.GetStateReq) (*proto.GetSt
 	if st.opmode != proto.Init {
 		reply.BlockValid = true
 		if !req.NoBlock {
-			reply.Block = cloneBytes(st.block)
+			blk, err := n.block(key, st)
+			if err != nil {
+				return nil, err
+			}
+			reply.Block = blk
 		}
 	}
 	return reply, nil
@@ -512,7 +590,7 @@ func (n *Node) GetRecent(_ context.Context, req *proto.GetRecentReq) (*proto.Get
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.stats.GetRecents++
-	st := n.getSlot(req.Stripe, req.Slot)
+	st := n.getSlot(blockstore.Key{Stripe: req.Stripe, Slot: req.Slot})
 	st.lmode = req.Mode
 	st.lid = req.Caller
 	st.lockExpiry = n.now().Add(n.opts.LockLease)
@@ -535,7 +613,8 @@ func (n *Node) Reconstruct(_ context.Context, req *proto.ReconstructReq) (*proto
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.stats.Reconstructs++
-	st := n.getSlot(req.Stripe, req.Slot)
+	key := blockstore.Key{Stripe: req.Stripe, Slot: req.Slot}
+	st := n.getSlot(key)
 	if req.InPlace && st.opmode == proto.Init {
 		// The coordinator certifies existing content as recovered, but
 		// this slot holds garbage: its GetState cannot have shown a valid
@@ -543,14 +622,13 @@ func (n *Node) Reconstruct(_ context.Context, req *proto.ReconstructReq) (*proto
 		// coordinator retries with a shipped block.
 		return nil, fmt.Errorf("storage: in-place reconstruct on INIT slot")
 	}
-	st.opmode = proto.Recons
-	st.reconsSet = append([]int32(nil), req.CSet...)
 	if !req.InPlace {
-		st.block = cloneBytes(req.Block)
-		if err := n.persist(req.Stripe, req.Slot, st.block); err != nil {
+		if err := n.put(key, st, req.Block); err != nil {
 			return nil, err
 		}
 	}
+	st.opmode = proto.Recons
+	st.reconsSet = append([]int32(nil), req.CSet...)
 	return &proto.ReconstructReply{Epoch: st.epoch}, nil
 }
 
@@ -563,12 +641,11 @@ func (n *Node) Finalize(_ context.Context, req *proto.FinalizeReq) (*proto.Final
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.stats.Finalizes++
-	st := n.getSlot(req.Stripe, req.Slot)
+	st := n.getSlot(blockstore.Key{Stripe: req.Stripe, Slot: req.Slot})
 	st.epoch = req.Epoch
 	st.recent = nil
 	st.old = nil
-	st.recentSet = make(map[proto.TID]struct{})
-	st.oldSet = make(map[proto.TID]struct{})
+	st.tids = nil
 	st.reconsSet = nil
 	if st.opmode == proto.Recons {
 		st.opmode = proto.Norm
@@ -585,7 +662,7 @@ func (n *Node) GCOld(_ context.Context, req *proto.GCOldReq) (*proto.GCReply, er
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.stats.GCOlds++
-	st := n.getSlot(req.Stripe, req.Slot)
+	st := n.getSlot(blockstore.Key{Stripe: req.Stripe, Slot: req.Slot})
 	if st.opmode != proto.Norm || st.lmode != proto.Unlocked {
 		return &proto.GCReply{Status: proto.StatusUnavail}, nil
 	}
@@ -597,7 +674,7 @@ func (n *Node) GCOld(_ context.Context, req *proto.GCOldReq) (*proto.GCReply, er
 		kept := st.old[:0]
 		for _, e := range st.old {
 			if drop[e.TID] {
-				delete(st.oldSet, e.TID)
+				delete(st.tids, e.TID)
 			} else {
 				kept = append(kept, e)
 			}
@@ -616,7 +693,7 @@ func (n *Node) GCRecent(_ context.Context, req *proto.GCRecentReq) (*proto.GCRep
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.stats.GCRecents++
-	st := n.getSlot(req.Stripe, req.Slot)
+	st := n.getSlot(blockstore.Key{Stripe: req.Stripe, Slot: req.Slot})
 	if st.opmode != proto.Norm || st.lmode != proto.Unlocked {
 		return &proto.GCReply{Status: proto.StatusUnavail}, nil
 	}
@@ -629,8 +706,7 @@ func (n *Node) GCRecent(_ context.Context, req *proto.GCRecentReq) (*proto.GCRep
 		for _, e := range st.recent {
 			if move[e.TID] {
 				st.old = append(st.old, e)
-				st.oldSet[e.TID] = struct{}{}
-				delete(st.recentSet, e.TID)
+				st.tids[e.TID] = false
 			} else {
 				kept = append(kept, e)
 			}
@@ -656,12 +732,16 @@ func (n *Node) PartialSum(_ context.Context, req *proto.PartialSumReq) (*proto.P
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.stats.PartialSums++
-	st := n.getSlot(req.Stripe, req.Slot)
+	key := blockstore.Key{Stripe: req.Stripe, Slot: req.Slot}
+	st := n.getSlot(key)
 	if st.opmode == proto.Init {
 		return &proto.PartialSumReply{OK: false, OpMode: st.opmode, LockMode: st.lmode}, nil
 	}
-	sum := make([]byte, n.opts.BlockSize)
-	gf.MulSlice(req.Coef, sum, st.block)
+	sum, err := n.block(key, st)
+	if err != nil {
+		return nil, err
+	}
+	gf.MulSlice(req.Coef, sum, sum)
 	if len(req.Acc) > 0 {
 		gf.AddSlice(sum, req.Acc)
 	}
@@ -676,7 +756,7 @@ func (n *Node) Probe(_ context.Context, req *proto.ProbeReq) (*proto.ProbeReply,
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.stats.Probes++
-	st := n.getSlot(req.Stripe, req.Slot)
+	st := n.getSlot(blockstore.Key{Stripe: req.Stripe, Slot: req.Slot})
 	reply := &proto.ProbeReply{
 		OpMode:      st.opmode,
 		LockMode:    st.lmode,
@@ -728,33 +808,9 @@ func (n *Node) SlotCount() int {
 	return len(n.slots)
 }
 
-// persist writes a slot's block to the configured store, if any.
-// Callers hold n.mu.
-func (n *Node) persist(stripe uint64, slot int32, block []byte) error {
-	if n.opts.Store == nil {
-		return nil
-	}
-	if err := n.opts.Store.Put(blockstore.Key{Stripe: stripe, Slot: slot}, block); err != nil {
-		return fmt.Errorf("storage: persist block: %w", err)
-	}
-	return nil
-}
-
 // Flush forces buffered block writes to the backing store.
-func (n *Node) Flush() error {
-	if n.opts.Store == nil {
-		return nil
-	}
-	return n.opts.Store.Flush()
-}
+func (n *Node) Flush() error { return n.opts.Store.Flush() }
 
-// Shutdown flushes and closes the backing store (clean shutdown). The
-// node keeps serving from memory afterwards only if it has no store.
-func (n *Node) Shutdown() error {
-	if n.opts.Store == nil {
-		return nil
-	}
-	return n.opts.Store.Close()
-}
-
-func cloneBytes(b []byte) []byte { return append([]byte(nil), b...) }
+// Shutdown flushes and closes the backing store (clean shutdown).
+// Block operations on a closed File store fail afterwards.
+func (n *Node) Shutdown() error { return n.opts.Store.Close() }

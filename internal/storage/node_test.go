@@ -333,7 +333,7 @@ func TestTryLockInvalidMode(t *testing.T) {
 }
 
 func TestGetStateReportsInitGarbage(t *testing.T) {
-	n := MustNew(Options{ID: "fresh", BlockSize: testBlockSize, Replacement: true, GarbageSeed: 42})
+	n := MustNew(Options{ID: "fresh", BlockSize: testBlockSize, Replacement: true})
 	ctx := context.Background()
 	st, err := n.GetState(ctx, &proto.GetStateReq{Stripe: 1, Slot: 2})
 	if err != nil {
@@ -639,5 +639,88 @@ func TestSlotCount(t *testing.T) {
 	_, _ = n.Read(ctx, &proto.ReadReq{Stripe: 1, Slot: 0})
 	if got := n.SlotCount(); got != 2 {
 		t.Fatalf("SlotCount = %d, want 2", got)
+	}
+}
+
+// TestTIDListsThroughGC checks duplicate detection, write ordering,
+// checktid and both garbage-collection steps on slots holding a few
+// and many tids.
+func TestTIDListsThroughGC(t *testing.T) {
+	ctx := context.Background()
+	for _, writes := range []int{3, 48} {
+		n := newTestNode(t)
+		stripe := uint64(writes)
+		add := func(seq, prev uint64, fill byte) proto.Status {
+			t.Helper()
+			req := &proto.AddReq{Stripe: stripe, Slot: 2, Delta: block(fill), Premultiplied: true, NTID: tid(seq, 0, 1)}
+			if prev > 0 {
+				req.OTID = tid(prev, 0, 1)
+			}
+			r, err := n.Add(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r.Status
+		}
+		// Each write names its predecessor; XOR-folding 1..writes.
+		want := make([]byte, testBlockSize)
+		for seq := uint64(1); seq <= uint64(writes); seq++ {
+			if s := add(seq, seq-1, byte(seq)); s != proto.StatusOK {
+				t.Fatalf("writes=%d: add %d = %v", writes, seq, s)
+			}
+			gf.AddSlice(want, block(byte(seq)))
+		}
+		if s := add(1, 0, 0xFF); s != proto.StatusOK {
+			t.Fatalf("writes=%d: duplicate add = %v", writes, s)
+		}
+		if s := add(1000, 999, 0xFF); s != proto.StatusOrder {
+			t.Fatalf("writes=%d: add after an unseen write = %v, want ORDER", writes, s)
+		}
+		checkTID := func(ntid, otid uint64) proto.Status {
+			t.Helper()
+			r, err := n.CheckTID(ctx, &proto.CheckTIDReq{Stripe: stripe, Slot: 2, NTID: tid(ntid, 0, 1), OTID: tid(otid, 0, 1)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r.Status
+		}
+		last := uint64(writes)
+		if s := checkTID(last, last-1); s != proto.StatusNoChange {
+			t.Fatalf("writes=%d: checktid = %v, want NOCHANGE", writes, s)
+		}
+
+		// Move all but the last write to the old list: still known for
+		// ordering, no longer recent.
+		var older []proto.TID
+		for seq := uint64(1); seq < last; seq++ {
+			older = append(older, tid(seq, 0, 1))
+		}
+		if r, err := n.GCRecent(ctx, &proto.GCRecentReq{Stripe: stripe, Slot: 2, TIDs: older}); err != nil || r.Status != proto.StatusOK {
+			t.Fatalf("gc_recent: %v %+v", err, r)
+		}
+		if s := checkTID(last, last-1); s != proto.StatusGC {
+			t.Fatalf("writes=%d: checktid after gc_recent = %v, want GC", writes, s)
+		}
+		if s := add(1, 0, 0xFF); s != proto.StatusOK {
+			t.Fatalf("writes=%d: duplicate of an old write = %v", writes, s)
+		}
+		// Drop the old list: the old writes are forgotten.
+		if r, err := n.GCOld(ctx, &proto.GCOldReq{Stripe: stripe, Slot: 2, TIDs: older}); err != nil || r.Status != proto.StatusOK {
+			t.Fatalf("gc_old: %v %+v", err, r)
+		}
+		if s := add(last+1, 1, 0x01); s != proto.StatusOrder {
+			t.Fatalf("writes=%d: add after a forgotten write = %v, want ORDER", writes, s)
+		}
+		if s := add(last+1, last, 0x01); s != proto.StatusOK {
+			t.Fatalf("writes=%d: add after the last write = %v", writes, s)
+		}
+		gf.AddSlice(want, block(0x01))
+		st, err := n.GetState(ctx, &proto.GetStateReq{Stripe: stripe, Slot: 2})
+		if err != nil || !bytes.Equal(st.Block, want) {
+			t.Fatalf("writes=%d: block = %v %x, want %x (each add folded exactly once)", writes, err, st.Block, want)
+		}
+		if len(st.RecentList) != 2 || len(st.OldList) != 0 {
+			t.Fatalf("writes=%d: lists recent=%d old=%d, want 2 and 0", writes, len(st.RecentList), len(st.OldList))
+		}
 	}
 }

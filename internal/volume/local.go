@@ -173,7 +173,6 @@ func (l *Local) openShard(site placement.Node, group uint64, replacement bool) (
 		Code:        l.code,
 		Replacement: replacement,
 		LockLease:   l.lopts.LockLease,
-		GarbageSeed: int64(group)<<16 | int64(gen),
 	})
 	if err != nil {
 		return nil, err

@@ -595,18 +595,31 @@ func (d *decoder) tids() []proto.TID {
 	return out
 }
 
-// Recycle returns the pooled payload buffer of a decoded *request* to
-// the block pool and nils the field. The RPC server calls it once the
-// handler has returned and the reply is on the wire; the storage node
+// Recycle returns a message's block payload buffer to the block pool
+// and nils the field. The RPC server calls it once the reply is on the
+// wire, on both sides of the call: the decoded request (storage node
 // handlers fold or copy request payloads during the call and retain no
-// reference (package storage documents this), so the buffer's lifetime
-// is fully visible there.
+// reference) and the handler's reply (storage nodes hand out reply
+// payloads they own and never touch again — package storage documents
+// this). The buffers' lifetimes are fully visible there.
 //
-// Replies are deliberately not recycled: reply payloads (read blocks,
-// swap old-values) are returned to the caller of the RPC client and
-// escape into application code.
+// The RPC client never recycles replies: the payloads it decodes (read
+// blocks, swap old-values) are returned to its caller and escape into
+// application code.
 func Recycle(msg any) {
 	switch m := msg.(type) {
+	case *proto.ReadReply:
+		bufpool.Put(m.Block)
+		m.Block = nil
+	case *proto.SwapReply:
+		bufpool.Put(m.Block)
+		m.Block = nil
+	case *proto.GetStateReply:
+		bufpool.Put(m.Block)
+		m.Block = nil
+	case *proto.PartialSumReply:
+		bufpool.Put(m.Sum)
+		m.Sum = nil
 	case *proto.SwapReq:
 		bufpool.Put(m.Value)
 		m.Value = nil

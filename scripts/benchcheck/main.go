@@ -122,11 +122,18 @@ func checkBaseline(baselinePath string, tolerance float64, benchtime string, cou
 }
 
 // runBenches executes the named benchmarks in pkg and returns the min
-// ns/op seen per benchmark (cpu suffixes stripped).
+// ns/op seen per benchmark (cpu suffixes stripped). A name may pick a
+// sub-benchmark ("BenchmarkX/sub"): its top-level benchmark runs whole
+// and the sub-benchmark is matched by its full name.
 func runBenches(pkg string, want map[string]float64, benchtime string, count int) (map[string]float64, error) {
+	seen := make(map[string]bool, len(want))
 	names := make([]string, 0, len(want))
 	for name := range want {
-		names = append(names, strings.TrimPrefix(name, "Benchmark"))
+		top, _, _ := strings.Cut(strings.TrimPrefix(name, "Benchmark"), "/")
+		if !seen[top] {
+			seen[top] = true
+			names = append(names, top)
+		}
 	}
 	sort.Strings(names)
 	re := "^Benchmark(" + strings.Join(names, "|") + ")$"
